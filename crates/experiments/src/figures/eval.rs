@@ -1,12 +1,12 @@
 //! Figures 8–13 and 21: the main emulation evaluation (§5, §8.1).
 
-use super::elastic_cross_flow;
+use super::{elastic_cross_flow, wan_cross};
 use crate::output::ExperimentResult;
 use crate::runner::{run_and_collect, run_scheme_vs_cross, ScenarioSpec};
 use crate::scheme::SchemeSpec;
 use nimbus_dsp::Cdf;
 use nimbus_netsim::{FlowConfig, FlowEndpoint, Time};
-use nimbus_traffic::{PhaseSchedule, VideoQuality, VideoSource, WanWorkload, WanWorkloadConfig};
+use nimbus_traffic::{PhaseSchedule, VideoQuality, VideoSource};
 use nimbus_transport::{CcKind, PathInfo, Sender, SenderConfig};
 
 /// Fig. 8: the nine-phase scripted scenario on a 96 Mbit/s link, comparing
@@ -111,20 +111,6 @@ pub fn fig08(quick: bool) -> ExperimentResult {
     result
 }
 
-/// Build the CAIDA-like WAN cross traffic for a given load and duration.
-fn wan_cross(
-    link_rate_bps: f64,
-    load: f64,
-    duration_s: f64,
-    seed: u64,
-) -> Vec<(FlowConfig, Box<dyn FlowEndpoint>)> {
-    let cfg = WanWorkloadConfig {
-        seed,
-        ..WanWorkloadConfig::default_for_link(link_rate_bps, load, duration_s)
-    };
-    WanWorkload::generate(cfg).instantiate()
-}
-
 /// Fig. 9: throughput and RTT CDFs against WAN (CAIDA-like) cross traffic at 50% load.
 pub fn fig09(quick: bool) -> ExperimentResult {
     let duration = if quick { 40.0 } else { 120.0 };
@@ -148,7 +134,7 @@ pub fn fig09(quick: bool) -> ExperimentResult {
             seed: 9,
             ..ScenarioSpec::default_96mbps(duration)
         };
-        let cross = wan_cross(spec.link_rate_bps, 0.5, duration, 90);
+        let cross = wan_cross(spec.link_rate_bps, 0.5, duration, 0.05, 90);
         let out = run_scheme_vs_cross(&spec, scheme, None, cross, 5.0);
         let m = &out.flows[0];
         let rtt_cdf = Cdf::from_samples(&m.rtt_samples_ms);
@@ -179,7 +165,7 @@ pub fn fig10(quick: bool) -> ExperimentResult {
             ..ScenarioSpec::default_96mbps(duration)
         };
         // One long-lived elastic flow arrives mid-experiment.
-        let mut cross = wan_cross(spec.link_rate_bps, 0.3, duration, 100);
+        let mut cross = wan_cross(spec.link_rate_bps, 0.3, duration, 0.05, 100);
         cross.push(elastic_cross_flow(
             "elephant",
             CcKind::Cubic,
@@ -269,7 +255,7 @@ pub fn fig12(quick: bool) -> ExperimentResult {
         seed: 12,
         ..ScenarioSpec::default_96mbps(duration)
     };
-    let cross = wan_cross(spec.link_rate_bps, 0.5, duration, 120);
+    let cross = wan_cross(spec.link_rate_bps, 0.5, duration, 0.05, 120);
     let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), None, cross, 5.0);
     let m = &out.flows[0];
     // Ground truth per interval from the recorder; detector verdicts from the
@@ -321,7 +307,7 @@ pub fn fig13(quick: bool) -> ExperimentResult {
                 seed: 13,
                 ..ScenarioSpec::default_96mbps(duration)
             };
-            let cross = wan_cross(spec.link_rate_bps, load, duration, 130);
+            let cross = wan_cross(spec.link_rate_bps, load, duration, 0.05, 130);
             let mut net = spec.build_network();
             let cfg = SchemeSpec::nimbus()
                 .nimbus_config(spec.link_rate_bps, spec.seed)
@@ -348,7 +334,7 @@ pub fn fig13(quick: bool) -> ExperimentResult {
             ..ScenarioSpec::default_96mbps(duration)
         };
         for scheme in [SchemeSpec::cubic(), SchemeSpec::vegas()] {
-            let cross = wan_cross(spec.link_rate_bps, load, duration, 130);
+            let cross = wan_cross(spec.link_rate_bps, load, duration, 0.05, 130);
             let out = run_scheme_vs_cross(&spec, scheme, None, cross, 5.0);
             let m = &out.flows[0];
             result.row(
@@ -390,7 +376,7 @@ pub fn fig21(quick: bool) -> ExperimentResult {
             seed: 21,
             ..ScenarioSpec::default_96mbps(duration)
         };
-        let cross = wan_cross(spec.link_rate_bps, 0.5, duration, 210);
+        let cross = wan_cross(spec.link_rate_bps, 0.5, duration, 0.05, 210);
         let out = run_scheme_vs_cross(&spec, scheme, None, cross, 5.0);
         let fcts = out.recorder.completed_fcts();
         for (lo, hi, label) in buckets {

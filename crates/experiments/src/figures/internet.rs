@@ -3,14 +3,14 @@
 //! The paper measured 25 real paths between EC2 instances and residential
 //! hosts.  We substitute a suite of 25 synthetic path profiles spanning the
 //! same regimes (deep-buffered clean paths, shallow/policed paths, lossy
-//! paths, varying RTTs and rates) — see DESIGN.md for the substitution
-//! rationale.  Cross traffic on each path is a light WAN-like mix.
+//! paths, varying RTTs and rates).  Cross traffic on each path is the §8.1
+//! WAN mix at the path's own RTT and load.
 
+use super::wan_cross;
 use crate::output::ExperimentResult;
 use crate::runner::{run_scheme_vs_cross, EcnSpec, ScenarioSpec};
 use crate::scheme::SchemeSpec;
 use nimbus_dsp::Cdf;
-use nimbus_traffic::{WanWorkload, WanWorkloadConfig};
 
 /// One synthetic Internet path profile.
 #[derive(Debug, Clone, Copy)]
@@ -83,12 +83,14 @@ fn run_path(
         fleet: None,
         ecn: EcnSpec::Off,
     };
-    let wl = WanWorkload::generate(WanWorkloadConfig {
-        base_rtt_s: path.rtt_s,
-        seed: 1900 + path.id as u64,
-        ..WanWorkloadConfig::default_for_link(path.rate_bps, path.cross_load, duration_s)
-    });
-    let out = run_scheme_vs_cross(&spec, scheme, None, wl.instantiate(), duration_s * 0.15);
+    let cross = wan_cross(
+        path.rate_bps,
+        path.cross_load,
+        duration_s,
+        path.rtt_s,
+        1900 + path.id as u64,
+    );
+    let out = run_scheme_vs_cross(&spec, scheme, None, cross, duration_s * 0.15);
     out.flows.into_iter().next().unwrap()
 }
 

@@ -12,7 +12,8 @@ pub mod varying;
 
 use crate::runner::CrossFlowSpec;
 use crate::scheme::SchemeSpec;
-use nimbus_netsim::{FlowConfig, FlowEndpoint, Time};
+use nimbus_netsim::{FlowConfig, FlowEndpoint, FlowSpawner, Time};
+use nimbus_traffic::{FleetSpawner, FleetWorkloadConfig};
 use nimbus_transport::{
     CcKind, PathInfo, PoissonSource, ScriptedSource, Sender, SenderConfig, Source,
 };
@@ -57,6 +58,28 @@ pub fn scheme_cross_flow(
     flow.rtt_s = rtt_s;
     flow.stop_s = stop_s;
     flow.build_labelled(label, mu_bps, seed)
+}
+
+/// The §8.1 WAN cross traffic: Cubic flows with CAIDA-like heavy-tailed
+/// sizes and Poisson arrivals offering `load` of `link_rate_bps` over
+/// `[0, duration_s)`, each RTT jittered ±50% around `base_rtt_s`.  The
+/// whole list is drained from a fleet generator seeded with `seed` rather
+/// than the scenario seed, so each figure pins its own arrivals.
+pub fn wan_cross(
+    link_rate_bps: f64,
+    load: f64,
+    duration_s: f64,
+    base_rtt_s: f64,
+    seed: u64,
+) -> Vec<(FlowConfig, Box<dyn FlowEndpoint>)> {
+    let mut spawner = FleetSpawner::new(FleetWorkloadConfig {
+        base_rtt_s,
+        seed,
+        ..FleetWorkloadConfig::default_for_link(link_rate_bps, load, duration_s)
+    });
+    std::iter::from_fn(|| spawner.next_flow())
+        .map(|(_, cfg, endpoint)| (cfg, endpoint))
+        .collect()
 }
 
 /// An inelastic Poisson cross-traffic aggregate at `rate_bps`.

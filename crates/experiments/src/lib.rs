@@ -35,7 +35,7 @@ pub use runner::{
     CrossFlowSpec, EcnSpec, FleetSpec, HopSpec, LinkScheduleSpec, PathSpec, ScenarioSpec,
     SingleFlowMetrics,
 };
-pub use scheme::{MuSpec, NimbusSpec, ParseSchemeError, SchemeSpec, SwitchSpec};
+pub use scheme::{MuSpec, NimbusSpec, ParseSchemeError, SchemeSpec, SwitchSpec, SCHEME_GRAMMAR};
 pub use sweep::{run_sweep, sweep_matrix, sweep_matrix_with, SweepConfig, SweepReport};
 pub use testkit::{
     ecn_cells, estimator_cells, fleet_cells, legacy_single_bottleneck_cells, multihop_cells,

@@ -22,6 +22,7 @@
 
 use nimbus_experiments::{
     run_experiment, EcnSpec, ExperimentResult, SchemeSpec, SweepConfig, ALL_EXPERIMENTS,
+    SCHEME_GRAMMAR,
 };
 use std::path::PathBuf;
 
@@ -208,9 +209,10 @@ fn main() {
         eprintln!(
             "       nimbus-experiments sweep-check --baseline PATH --current PATH [--threshold FRAC]"
         );
-        eprintln!("scheme specs: bare CCAs (cubic, newreno, vegas, copa, bbr, vivace, compound,");
-        eprintln!("  constant(<rate>)) or nimbus(competitive=cubic|reno, delay=basic|copa|vegas,");
-        eprintln!("  mu=configured|learned, switch=auto|never)");
+        eprintln!("scheme specs:");
+        for line in SCHEME_GRAMMAR.lines() {
+            eprintln!("  {line}");
+        }
         eprintln!("ecn specs: off, classic, l4s, step(<duration>) e.g. step(5ms)");
         eprintln!("experiments: {}", ALL_EXPERIMENTS.join(", "));
         std::process::exit(if args.is_empty() { 2 } else { 0 });

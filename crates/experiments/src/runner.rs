@@ -7,9 +7,8 @@ use nimbus_netsim::{
     RateSchedule, Recorder, SimConfig, Time,
 };
 use nimbus_traffic::fleet::{ArrivalProcess, FleetSpawner, FleetWorkloadConfig};
-use nimbus_traffic::wan::CcKindSerde;
 use nimbus_traffic::FlowSizeDistribution;
-use nimbus_transport::{BackloggedSource, Sender, SenderConfig};
+use nimbus_transport::{BackloggedSource, CcKind, Sender, SenderConfig};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
@@ -559,7 +558,7 @@ pub struct FleetSpec {
     /// `None` keeps the default CAIDA-like mixture (~100 kB mean).
     pub mean_flow_bytes: Option<f64>,
     /// Congestion control run by the fleet flows (`cc=cubic|reno`).
-    pub cc: CcKindSerde,
+    pub cc: CcKind,
 }
 
 impl FleetSpec {
@@ -570,7 +569,7 @@ impl FleetSpec {
             arrivals: ArrivalProcess::Poisson,
             load,
             mean_flow_bytes: None,
-            cc: CcKindSerde::Cubic,
+            cc: CcKind::Cubic,
         }
     }
 
@@ -583,7 +582,7 @@ impl FleetSpec {
             },
             load,
             mean_flow_bytes: None,
-            cc: CcKindSerde::Cubic,
+            cc: CcKind::Cubic,
         }
     }
 
@@ -595,7 +594,7 @@ impl FleetSpec {
 
     /// Run the fleet over NewReno instead of Cubic (builder style).
     pub fn with_reno(mut self) -> Self {
-        self.cc = CcKindSerde::NewReno;
+        self.cc = CcKind::NewReno;
         self
     }
 
@@ -624,7 +623,7 @@ impl FleetSpec {
         if let Some(mean) = self.mean_flow_bytes {
             s.push_str(&format!("-m{:.0}k", mean / 1000.0));
         }
-        if self.cc == CcKindSerde::NewReno {
+        if self.cc == CcKind::NewReno {
             s.push_str("-reno");
         }
         s
@@ -660,7 +659,7 @@ impl fmt::Display for FleetSpec {
         if let Some(mean) = self.mean_flow_bytes {
             write!(f, ",mean={mean}")?;
         }
-        if self.cc == CcKindSerde::NewReno {
+        if self.cc == CcKind::NewReno {
             write!(f, ",cc=reno")?;
         }
         write!(f, ")")
@@ -768,8 +767,8 @@ impl FromStr for FleetSpec {
                 "mean" => spec.mean_flow_bytes = Some(parse_size_bytes(value)?),
                 "cc" => {
                     spec.cc = match value.trim() {
-                        "cubic" => CcKindSerde::Cubic,
-                        "reno" | "newreno" => CcKindSerde::NewReno,
+                        "cubic" => CcKind::Cubic,
+                        "reno" | "newreno" => CcKind::NewReno,
                         other => {
                             return Err(ParseSchemeError(format!(
                                 "unknown fleet cc `{other}` (expected cubic or reno)"

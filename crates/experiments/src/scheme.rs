@@ -58,6 +58,22 @@ use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use std::str::FromStr;
 
+/// The whole scheme-spec grammar in one place: `nimbus-experiments --help`
+/// prints it, and [`SchemeSpec::from_str`] quotes it for an unknown scheme.
+/// Each line names a slot (`<name>`, or a `key=` Nimbus option) followed by
+/// its `|`-separated alternatives.
+pub const SCHEME_GRAMMAR: &str = "\
+<scheme>      <cca> | nimbus | nimbus(<option>,...)
+<cca>         cubic | newreno | vegas | copa | bbr | vivace | compound | dctcp | unlimited | constant(<rate>)
+<option>      competitive= | delay= | mu= | zfilter= | switch=
+competitive=  cubic | reno | dctcp
+delay=        basic | copa | vegas
+mu=           configured | learned | learned(<learned>,...)
+<learned>     window=<s> | probe=<s> | gain=<x> | dur=<s> | loss=<frac> | lossint=<s> | recent=<s> | cap=<x> | quiesce=<frac>
+zfilter=      none | adaptive | adaptive(k=<x>) | notch(freq=<hz>) | notch(freq=<hz>,q=<x>)
+switch=       auto | never
+(gain, dur, loss, lossint, recent, cap and quiesce tune probing and need probe=)";
+
 /// Where the Nimbus wrapper gets the bottleneck rate µ from: configured up
 /// front, or one of the pluggable learned-µ estimation strategies
 /// ([`LearnedMuConfig`], §4.2 and beyond).
@@ -968,9 +984,7 @@ impl FromStr for SchemeSpec {
                 Err(ParseSchemeError(e))
             }
             Err(_) => Err(ParseSchemeError(format!(
-                "unknown scheme `{trimmed}` (expected a bare CCA such as cubic, newreno, \
-                     vegas, copa, bbr, vivace, compound, constant(<rate>), or a wrapper spec \
-                     such as nimbus(competitive=reno,delay=copa,mu=learned))"
+                "unknown scheme `{trimmed}`; the grammar is\n{SCHEME_GRAMMAR}"
             ))),
         }
     }
@@ -1146,6 +1160,55 @@ mod tests {
         assert!(err.0.contains("unknown scheme"), "{err}");
         let err = "constant(fast)".parse::<SchemeSpec>().unwrap_err();
         assert!(err.0.contains("invalid rate"), "{err}");
+    }
+
+    #[test]
+    fn every_alternative_in_the_grammar_summary_parses() {
+        let slots: Vec<(&str, Vec<&str>)> = SCHEME_GRAMMAR
+            .lines()
+            .filter_map(|line| line.split_once(' '))
+            .filter(|(slot, _)| slot.starts_with('<') || slot.ends_with('='))
+            .map(|(slot, alts)| (slot, alts.split('|').map(str::trim).collect()))
+            .collect();
+        let mut parsed = 0;
+        for (slot, alts) in &slots {
+            for alt in alts {
+                let alt = alt
+                    .replace("<rate>", "24M")
+                    .replace("<s>", "3")
+                    .replace("<x>", "4")
+                    .replace("<frac>", "0.4")
+                    .replace("<hz>", "0.1");
+                if let Some(start) = alt.find('<') {
+                    // A reference to another slot, which has its own line.
+                    let end = start + alt[start..].find('>').unwrap() + 1;
+                    let target = &alt[start..end];
+                    assert!(
+                        slots.iter().any(|(s, _)| s == &target),
+                        "`{alt}` names a slot the summary never defines"
+                    );
+                    continue;
+                }
+                let spec = match *slot {
+                    "<option>" => {
+                        assert!(slots.iter().any(|(s, _)| *s == alt), "no `{alt}` line");
+                        continue;
+                    }
+                    "<scheme>" | "<cca>" => alt,
+                    "<learned>" if alt.starts_with("window=") || alt.starts_with("probe=") => {
+                        format!("nimbus(mu=learned({alt}))")
+                    }
+                    "<learned>" => format!("nimbus(mu=learned(probe=10,{alt}))"),
+                    key => format!("nimbus({key}{alt})"),
+                };
+                spec.parse::<SchemeSpec>()
+                    .unwrap_or_else(|e| panic!("`{spec}` from slot {slot}: {e}"));
+                parsed += 1;
+            }
+        }
+        assert!(parsed >= 35, "only {parsed} alternatives exercised");
+        let err = "quic".parse::<SchemeSpec>().unwrap_err();
+        assert!(err.0.ends_with(SCHEME_GRAMMAR), "{err}");
     }
 
     #[test]

@@ -45,7 +45,7 @@ use crate::queue::{
 use crate::recorder::{Recorder, RecorderConfig};
 use crate::schedule::RateSchedule;
 use crate::slab::Slab;
-use crate::time::Time;
+use nimbus_core_types::Time;
 use std::collections::BTreeMap;
 
 /// Which queue discipline the bottleneck uses.
@@ -544,30 +544,9 @@ impl Network {
         self.links[0].current_rate_bps
     }
 
-    /// The rate currently in effect on `hop`, bits/s.
-    pub fn hop_rate_bps(&self, hop: usize) -> f64 {
-        self.links[hop].current_rate_bps
-    }
-
-    /// The first hop's configured rate schedule µ(t) (the primary bottleneck
-    /// of single-hop configurations).
-    pub fn rate_schedule(&self) -> &RateSchedule {
-        &self.cfg.path[0].schedule
-    }
-
     /// Every hop's configured rate schedule, in path order.
     pub fn hop_schedules(&self) -> Vec<&RateSchedule> {
         self.cfg.path.iter().map(|l| &l.schedule).collect()
-    }
-
-    /// The path's true bottleneck rate at `t`: the minimum of every hop's
-    /// schedule — the rate an end-to-end flow can sustain at that instant.
-    pub fn path_rate_at(&self, t: Time) -> f64 {
-        self.cfg
-            .path
-            .iter()
-            .map(|l| l.schedule.rate_at(t))
-            .fold(f64::INFINITY, f64::min)
     }
 
     /// Current virtual time.

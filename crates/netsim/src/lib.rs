@@ -42,12 +42,12 @@ pub mod queue;
 pub mod recorder;
 pub mod schedule;
 pub mod slab;
-pub mod time;
 
 pub use endpoint::{AckInfo, FlowEndpoint, SendAction};
 pub use engine::{FlowConfig, FlowHandle, FlowSpawner, LinkConfig, Network, QueueKind, SimConfig};
 pub use eventq::CalendarQueue;
 pub use loss::{LossModel, Policer};
+pub use nimbus_core_types::Time;
 pub use packet::{EcnCodepoint, FlowId, Packet};
 pub use queue::{CoDelQueue, DropTailQueue, EcnMarking, PieQueue, QueueDiscipline, RedQueue};
 pub use recorder::{
@@ -55,7 +55,6 @@ pub use recorder::{
     MICE_MAX_BYTES,
 };
 pub use schedule::RateSchedule;
-pub use time::Time;
 
 /// Default maximum segment size, in bytes, used when a flow does not override it.
 pub const DEFAULT_MSS_BYTES: u32 = 1500;

@@ -18,7 +18,7 @@
 //! behave byte-for-byte as before, including the AQMs' RNG draw sequences.
 
 use crate::packet::{EcnCodepoint, Packet};
-use crate::time::Time;
+use nimbus_core_types::Time;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};

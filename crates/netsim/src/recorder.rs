@@ -11,7 +11,7 @@
 //! * flow lifecycle events, which yield flow completion times (Fig. 21).
 
 use crate::packet::FlowId;
-use crate::time::Time;
+use nimbus_core_types::Time;
 use serde::{Deserialize, Serialize};
 
 /// A uniformly sampled time series.

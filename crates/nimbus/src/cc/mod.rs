@@ -36,6 +36,7 @@ pub mod vivace;
 
 use crate::ccp::Report;
 use nimbus_core_types::Time;
+use serde::{Deserialize, Serialize};
 
 /// Everything a congestion controller learns from one (new, non-duplicate) ACK.
 #[derive(Debug, Clone, Copy)]
@@ -185,7 +186,7 @@ pub trait CongestionControl: Send {
 }
 
 /// The congestion-control schemes available to experiment configurations.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum CcKind {
     /// TCP NewReno.
     NewReno,

@@ -94,11 +94,6 @@ pub struct NimbusConfig {
     pub multiflow: MultiflowConfig,
     /// Seed for the controller's randomized decisions.
     pub seed: u64,
-    /// Cross-validate the elasticity verdict against the ECN mark rate: a
-    /// persistent mark fraction plus a non-trivial ẑ flips the controller to
-    /// competitive mode without waiting for a full FFT window.  Inert on
-    /// paths that never mark (the EWMA stays exactly zero).
-    pub ecn_mark_validation: bool,
 }
 
 impl NimbusConfig {
@@ -117,7 +112,6 @@ impl NimbusConfig {
             basic_delay: BasicDelayConfig::paper_defaults(mu_bps),
             multiflow: MultiflowConfig::default(),
             seed: 1,
-            ecn_mark_validation: true,
         }
     }
 
@@ -148,13 +142,6 @@ impl NimbusConfig {
     /// Change the random seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enable or disable ECN mark-rate cross-validation (on by default; a
-    /// no-op on paths that never mark).
-    pub fn with_ecn_mark_validation(mut self, on: bool) -> Self {
-        self.ecn_mark_validation = on;
         self
     }
 
@@ -548,9 +535,7 @@ impl CongestionControl for NimbusController {
         // perfectly persistent mark signal exactly when it matters most.
         // The whole block is provably inert without ECN: `marked_packets` is
         // 0 on every report, the window stays empty, and no state changes.
-        if self.cfg.ecn_mark_validation
-            && (report.marked_packets > 0 || !self.mark_window.is_empty())
-        {
+        if report.marked_packets > 0 || !self.mark_window.is_empty() {
             let acked_pkts = report.acked_bytes / self.cfg.mss.max(1) as u64;
             if report.marked_packets > 0 || acked_pkts > 0 {
                 self.mark_window

@@ -1,11 +1,20 @@
-//! Fleet workload: open-loop flow churn at population scale.
+//! Fleet workload: open-loop flow churn at population scale, and the §8.1
+//! WAN cross traffic.
 //!
-//! Where [`crate::wan`] pre-generates a flow list and instantiates every
-//! sender up front, this module implements the simulator's
-//! [`nimbus_netsim::FlowSpawner`] interface: flows are created
-//! lazily at their arrival instants and *retired* (endpoint freed) when they
-//! complete, so a run can churn through thousands of flows while only the
-//! concurrently active population costs memory and per-tick work.
+//! The paper's WAN workload is "Cubic cross-flows with flow sizes drawn from
+//! this data, with flow arrival times generated by a Poisson process to
+//! offer a fixed average load"; the flow-size distribution of
+//! [`crate::flow_sizes`] stands in for the proprietary trace.  Because the
+//! sizes are heavy-tailed, the workload alternates between inelastic periods
+//! (only mice in flight) and elastic ones (an elephant is active), which is
+//! what exercises Nimbus's mode switching.
+//!
+//! [`FleetSpawner`] implements the simulator's
+//! [`nimbus_netsim::FlowSpawner`] interface: flows are created lazily at
+//! their arrival instants and *retired* (endpoint freed) when they complete,
+//! so a run can churn through thousands of flows while only the concurrently
+//! active population costs memory and per-tick work.  Draining it up front
+//! yields the same flows as a plain arrival list.
 //!
 //! Two arrival processes are provided.  Poisson arrivals are the open-loop
 //! model the paper uses for its CAIDA-derived workload (§8.1); Pareto
@@ -14,7 +23,6 @@
 //! population churn.  Both are deterministic per seed.
 
 use crate::flow_sizes::FlowSizeDistribution;
-use crate::wan::CcKindSerde;
 use nimbus_netsim::{FlowConfig, FlowEndpoint, FlowSpawner, Time};
 use nimbus_transport::{CcKind, FixedSizeSource, PathInfo, Sender, SenderConfig};
 use rand::rngs::StdRng;
@@ -76,7 +84,7 @@ pub struct FleetWorkloadConfig {
     /// If true, jitter each flow's RTT by up to ±50%.
     pub jitter_rtt: bool,
     /// Congestion control used by the fleet flows.
-    pub cc: CcKindSerde,
+    pub cc: CcKind,
     /// RNG seed; the whole workload is deterministic given this.
     pub seed: u64,
     /// Size (bytes) above which a flow is tagged elastic for the ground truth.
@@ -95,7 +103,7 @@ impl FleetWorkloadConfig {
             stop_s,
             base_rtt_s: 0.05,
             jitter_rtt: true,
-            cc: CcKindSerde::Cubic,
+            cc: CcKind::Cubic,
             seed: 1,
             elastic_threshold_bytes: 15_000,
         }
@@ -165,7 +173,7 @@ impl FlowSpawner for FleetSpawner {
         .retiring();
         let endpoint: Box<dyn FlowEndpoint> = Box::new(Sender::new(
             SenderConfig::labelled(&label),
-            CcKind::from(self.cfg.cc).build(&PathInfo::new(1500)),
+            self.cfg.cc.build(&PathInfo::new(1500)),
             Box::new(FixedSizeSource::new(size)),
         ));
         Some((at, flow_cfg, endpoint))
@@ -268,18 +276,25 @@ mod tests {
     fn spawned_flows_are_finite_retiring_and_unmonitored() {
         let mut sp = FleetSpawner::new(FleetWorkloadConfig::default_for_link(48e6, 0.4, 10.0));
         let mut n = 0;
+        let mut rtts_us = std::collections::BTreeSet::new();
         while let Some((at, fc, ep)) = sp.next_flow() {
             assert_eq!(fc.start, at);
             assert!(fc.retire_on_finish);
             assert!(!fc.monitored);
-            assert!(fc.size_bytes.is_some());
-            assert!(fc.counts_as_elastic.is_some());
+            let size = fc.size_bytes.expect("fleet flows are finite");
+            assert_eq!(fc.counts_as_elastic, Some(size > 15_000));
             assert!(fc.prop_rtt.as_secs_f64() >= 0.025 && fc.prop_rtt.as_secs_f64() <= 0.075);
+            rtts_us.insert((fc.prop_rtt.as_secs_f64() * 1e6) as u64);
             assert!(ep.label().starts_with("fleet-"));
             n += 1;
         }
         assert_eq!(sp.emitted(), n);
         assert!(n > 10, "expected a population, got {n}");
+        assert!(
+            rtts_us.len() > 10,
+            "RTT jitter gave {} values",
+            rtts_us.len()
+        );
     }
 
     #[test]

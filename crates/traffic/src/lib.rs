@@ -5,15 +5,16 @@
 //! The paper's evaluation draws its cross traffic from three families, all of
 //! which are built here on top of `nimbus-transport` senders:
 //!
-//! * [`flow_sizes`] + [`wan`] — a CAIDA-like wide-area workload: Cubic
+//! * [`flow_sizes`] + [`fleet`] — a CAIDA-like wide-area workload: Cubic
 //!   cross-flows whose sizes come from a heavy-tailed distribution and whose
-//!   arrivals form a Poisson process targeting a configurable offered load
-//!   (§8.1 "Throughput and delay with WAN cross-traffic").  The real trace is
-//!   proprietary; DESIGN.md documents the substitution.
-//! * [`fleet`] — the same size distribution driven open-loop at population
-//!   scale: flows are spawned at Poisson or bursty (Pareto) arrival instants
-//!   via the engine's `FlowSpawner` hook and retired on completion, so
-//!   1000+-flow churn runs only pay for the concurrently active population.
+//!   arrivals form a Poisson (or bursty Pareto) process targeting a
+//!   configurable offered load.  The real trace is proprietary, so
+//!   [`FlowSizeDistribution`] substitutes a lognormal body with a Pareto
+//!   tail.  The one generator serves both the §8.1 WAN mix ("Throughput and
+//!   delay with WAN cross-traffic"), drained into a flow list up front, and
+//!   open-loop churn at population scale, where flows spawn through the
+//!   engine's `FlowSpawner` hook and retire on completion so 1000+-flow runs
+//!   only pay for the concurrently active population.
 //! * [`video`] — DASH-style adaptive video sources: a 4K ladder that exceeds
 //!   its fair share (network-limited, elastic) and a 1080p ladder that stays
 //!   below it (application-limited, inelastic), reproducing Fig. 11.
@@ -28,10 +29,8 @@ pub mod fleet;
 pub mod flow_sizes;
 pub mod phases;
 pub mod video;
-pub mod wan;
 
 pub use fleet::{ArrivalProcess, FleetSpawner, FleetWorkloadConfig};
 pub use flow_sizes::FlowSizeDistribution;
 pub use phases::{fair_share_mbps, Phase, PhaseSchedule};
 pub use video::{VideoQuality, VideoSource};
-pub use wan::{WanWorkload, WanWorkloadConfig};

@@ -117,14 +117,6 @@ impl PhaseSchedule {
         current
     }
 
-    /// End time of the phase starting at index `i`.
-    pub fn phase_end(&self, i: usize) -> f64 {
-        self.phases
-            .get(i + 1)
-            .map(|p| p.start_s)
-            .unwrap_or(self.end_s)
-    }
-
     /// The scripted Poisson-rate schedule, as `(start, rate_bps)` pairs for a
     /// [`ScriptedSource`](nimbus_transport::ScriptedSource)-driven aggregate.
     pub fn poisson_schedule(&self) -> Vec<(Time, f64)> {

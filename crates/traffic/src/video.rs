@@ -82,12 +82,6 @@ impl VideoSource {
         }
     }
 
-    /// Override the chunk duration.
-    pub fn with_chunk_duration(mut self, seconds: f64) -> Self {
-        self.chunk_duration = Time::from_secs_f64(seconds);
-        self
-    }
-
     /// Size of one chunk in bytes.
     pub fn chunk_bytes(&self) -> u64 {
         (self.bitrate_bps * self.chunk_duration.as_secs_f64() / 8.0) as u64

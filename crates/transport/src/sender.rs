@@ -160,11 +160,6 @@ impl Sender {
         self.cc.as_ref()
     }
 
-    /// Mutable access to the congestion controller.
-    pub fn congestion_control_mut(&mut self) -> &mut dyn CongestionControl {
-        self.cc.as_mut()
-    }
-
     /// Segments currently believed to be in the network ("pipe", RFC 6675):
     /// sent, not cumulatively acknowledged, not selectively acknowledged and
     /// not deemed lost (queued for retransmission but not yet re-sent).

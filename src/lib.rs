@@ -14,7 +14,9 @@
 //! * [`netsim`] — the discrete-event dumbbell simulator (Mahimahi stand-in).
 //! * [`transport`] — sender machinery plus re-exports of the
 //!   simulator-free congestion controllers under their historical paths.
-//! * [`traffic`] — WAN, video and scripted-phase cross-traffic generators.
+//! * [`traffic`] — cross-traffic generators: the fleet flow-arrival
+//!   generator (the §8.1 WAN mix and open-loop churn), video and scripted
+//!   phases.
 //! * [`nimbus`] — the paper's contribution, simulator-free: estimator,
 //!   detector, BasicDelay, the Nimbus controller, the multi-flow
 //!   pulser/watcher protocol and every baseline congestion controller.
@@ -22,8 +24,8 @@
 //!   ([`sim::nimbus_flow`]).
 //! * [`experiments`] — the harness regenerating every table and figure.
 //!
-//! See `README.md` for a quickstart and `DESIGN.md` / `EXPERIMENTS.md` for
-//! the system inventory and the per-experiment reproduction record.
+//! See `README.md` for a quickstart, the workspace layout and the scenario
+//! grammars; `nimbus-experiments list` names every reproducible figure.
 
 pub use nimbus_core as nimbus;
 pub use nimbus_core_types as core_types;
