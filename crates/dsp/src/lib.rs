@@ -45,6 +45,6 @@ pub use complex::Complex;
 pub use fft::{dft_naive, fft, fft_real, ifft, Fft};
 pub use filter::{Ewma, WindowedMax, WindowedMin};
 pub use pulse::{AsymmetricPulse, PulseGenerator, PulseKind, PulseShape, SymmetricPulse};
-pub use spectrum::{band_peak, bin_for_frequency, magnitude_spectrum, Spectrum};
-pub use stats::{mean, percentile, stddev, Cdf, RunningStats};
+pub use spectrum::{band_peak, bin_for_frequency, Spectrum};
+pub use stats::{mean, percentile, stddev, Cdf};
 pub use window::WindowFunction;

@@ -138,11 +138,6 @@ pub fn bin_for_frequency(freq_hz: f64, sample_rate_hz: f64, n: usize) -> usize {
     ((freq_hz * n as f64 / sample_rate_hz).round().max(0.0)) as usize
 }
 
-/// One-sided magnitude spectrum of a real signal (convenience wrapper).
-pub fn magnitude_spectrum(signal: &[f64], sample_rate_hz: f64) -> Vec<f64> {
-    Spectrum::of_signal(signal, sample_rate_hz, true).magnitudes
-}
-
 /// Peak magnitude over the *open* band `(lo_hz, hi_hz)` of a one-sided
 /// magnitude spectrum (`mags[k]` is the magnitude of bin `k`).
 ///

@@ -22,7 +22,7 @@
 
 use nimbus_experiments::{
     run_experiment, EcnSpec, ExperimentResult, SchemeSpec, SweepConfig, ALL_EXPERIMENTS,
-    SCHEME_GRAMMAR,
+    ECN_GRAMMAR, SCHEME_GRAMMAR,
 };
 use std::path::PathBuf;
 
@@ -94,7 +94,7 @@ fn run_sweep_command(args: &[String]) -> ! {
                 std::process::exit(2);
             }
             None => {
-                eprintln!("--ecn requires a marking spec: off, classic, l4s, or step(<duration>)");
+                eprintln!("--ecn requires a marking spec: {ECN_GRAMMAR}");
                 std::process::exit(2);
             }
         }
@@ -213,8 +213,9 @@ fn main() {
         for line in SCHEME_GRAMMAR.lines() {
             eprintln!("  {line}");
         }
-        eprintln!("ecn specs: off, classic, l4s, step(<duration>) e.g. step(5ms)");
-        eprintln!("experiments: {}", ALL_EXPERIMENTS.join(", "));
+        eprintln!("ecn specs: {ECN_GRAMMAR}");
+        let names: Vec<&str> = ALL_EXPERIMENTS.iter().map(|&(name, _)| name).collect();
+        eprintln!("experiments: {}", names.join(", "));
         std::process::exit(if args.is_empty() { 2 } else { 0 });
     }
     let name = args[0].clone();
@@ -235,8 +236,8 @@ fn main() {
     }
 
     if name == "list" {
-        for e in ALL_EXPERIMENTS {
-            println!("{e}");
+        for (name, _) in ALL_EXPERIMENTS {
+            println!("{name}");
         }
         return;
     }
@@ -261,7 +262,7 @@ fn main() {
         names
     };
     let to_run: Vec<&str> = if names.contains(&"all") {
-        ALL_EXPERIMENTS.to_vec()
+        ALL_EXPERIMENTS.iter().map(|&(name, _)| name).collect()
     } else {
         names
     };

@@ -129,6 +129,12 @@ impl LinkScheduleSpec {
     }
 }
 
+/// The whole `ecn=` grammar in one line: `nimbus-experiments --help` prints
+/// it, and [`EcnSpec::from_str`] quotes it for an unknown mode.  The
+/// alternatives are `|`-separated; `none` and `ecn` also parse, as aliases
+/// of `off` and `classic`.
+pub const ECN_GRAMMAR: &str = "off | classic | l4s | step(<ms>ms) | step(<s>s)";
+
 /// The `ecn=` axis of the scenario grammar: whether — and how — a hop marks
 /// ECT packets instead of dropping them.
 ///
@@ -235,7 +241,7 @@ impl FromStr for EcnSpec {
             });
         }
         Err(ParseSchemeError(format!(
-            "unknown ecn mode `{s}` (expected off, classic, l4s, or step(<ms>ms))"
+            "unknown ecn mode `{s}`; expected {ECN_GRAMMAR}"
         )))
     }
 }
@@ -1397,6 +1403,21 @@ mod tests {
         assert_eq!(back.ecn, EcnSpec::l4s());
         assert_eq!(EcnSpec::l4s().label(), "-l4s");
         assert_eq!(EcnSpec::Off.label(), "");
+    }
+
+    #[test]
+    fn every_alternative_in_the_ecn_grammar_parses() {
+        let alternatives: Vec<&str> = ECN_GRAMMAR.split('|').map(str::trim).collect();
+        assert_eq!(alternatives.len(), 5, "{ECN_GRAMMAR}");
+        for alt in alternatives {
+            let example = alt.replace("<ms>", "5").replace("<s>", "0.005");
+            let spec: EcnSpec = example
+                .parse()
+                .unwrap_or_else(|e| panic!("`{example}` from the grammar fails: {e}"));
+            assert_eq!(spec.to_string().parse::<EcnSpec>().unwrap(), spec);
+        }
+        let err = "wide".parse::<EcnSpec>().unwrap_err();
+        assert!(err.0.ends_with(ECN_GRAMMAR), "{err}");
     }
 
     #[test]

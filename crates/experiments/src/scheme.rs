@@ -41,8 +41,9 @@
 //! Result labels ([`SchemeSpec::label`]) are derived from the spec.  The
 //! variant names of the long-gone pre-redesign `Scheme` enum survive as
 //! parse-string aliases (`"NimbusCubicCopa"`, `"nimbus-copa"`, …) that map
-//! onto specs producing byte-identical simulations (pinned by
-//! `tests/scheme_spec.rs`), so pre-redesign serialized data still loads.
+//! onto specs producing byte-identical simulations (pinned by the golden
+//! fingerprint table in `tests/golden/mod.rs`), so pre-redesign
+//! serialized data still loads.
 
 use nimbus_core::estimator::DEFAULT_MU_WINDOW_S;
 use nimbus_core::{

@@ -20,8 +20,8 @@
 //!
 //! Every [`CellOutcome`] also carries a fingerprint of the cell's full
 //! [`Recorder`](nimbus_netsim::Recorder) snapshot, so the same matrix doubles
-//! as a whole-system determinism regression: run it twice, compare
-//! fingerprints.
+//! as a whole-system behaviour and determinism regression: every run must
+//! reproduce the golden fingerprint table in `tests/golden/mod.rs`.
 
 use crate::figures::{cbr_cross_flow, poisson_cross_flow, scheme_cross_flow};
 use crate::runner::{
@@ -1042,10 +1042,9 @@ pub fn estimator_cells() -> Vec<Cell> {
 }
 
 /// The 18 single-bottleneck cells that predate both the path engine and the
-/// `SchemeSpec` redesign.  Kept as a stable, separately runnable slice
-/// because their recorder fingerprints are pinned
-/// (`tests/multihop_scenarios.rs`): every refactor of the scheme or engine
-/// layers must reproduce them byte for byte.
+/// `SchemeSpec` redesign.  Their recorder fingerprints have been pinned
+/// since before either refactor; with every other cell's, they are rows of
+/// the golden table in `tests/golden/mod.rs`.
 pub fn legacy_single_bottleneck_cells() -> Vec<Cell> {
     let mut cells = Vec::new();
 
@@ -1273,6 +1272,72 @@ pub fn legacy_single_bottleneck_cells() -> Vec<Cell> {
         });
     }
 
+    cells
+}
+
+/// The cells that pin behaviour without asserting an invariant: 12 schemes
+/// alone, five Nimbus flavours against Cubic, five learned-µ flavours alone,
+/// learned µ against Cubic, and learned µ on a ±10% sinusoid and on the
+/// cellular trace (the two regimes the non-default estimators of
+/// [`estimator_cells`] recover; pinned here in their degraded state).  Their
+/// fingerprints are rows of the golden table in `tests/golden/mod.rs`.
+pub fn pinned_only_cells() -> Vec<Cell> {
+    let nimbus = [
+        "nimbus",
+        "nimbus(delay=copa)",
+        "nimbus(delay=vegas)",
+        "nimbus(switch=never)",
+        "nimbus(mu=learned)",
+    ];
+    let bare = [
+        "cubic", "newreno", "vegas", "copa", "bbr", "vivace", "compound",
+    ];
+    let learned = [
+        "nimbus(mu=learned)",
+        "nimbus(delay=copa,mu=learned)",
+        "nimbus(delay=vegas,mu=learned)",
+        "nimbus(competitive=reno,mu=learned)",
+        "nimbus(mu=learned,switch=never)",
+    ];
+    let constant = LinkScheduleSpec::Constant;
+    let sinusoid = LinkScheduleSpec::Sinusoid {
+        amplitude_frac: 0.1,
+        period_s: 10.0,
+    };
+    let cellular = LinkScheduleSpec::NamedTrace {
+        name: "cellular".to_string(),
+    };
+    // (specs, vs elastic Cubic?, µ in bit/s, schedule, seed, run s, steady from s)
+    let groups = [
+        (&nimbus[..], false, 48e6, &constant, 17, 20.0, 6.0),
+        (&bare[..], false, 48e6, &constant, 17, 20.0, 6.0),
+        (&nimbus[..], true, 96e6, &constant, 18, 25.0, 8.0),
+        (&learned[..], false, 48e6, &constant, 41, 20.0, 6.0),
+        (&learned[..1], true, 96e6, &constant, 42, 25.0, 8.0),
+        (&learned[..1], false, 48e6, &sinusoid, 43, 30.0, 10.0),
+        (&learned[..1], false, 48e6, &cellular, 44, 30.0, 10.0),
+    ];
+    let mut cells = Vec::new();
+    for (specs, vs_cubic, link_rate_bps, schedule, seed, duration_s, steady_start_s) in groups {
+        for spec in specs {
+            cells.push(Cell {
+                scheme: spec.parse().expect("canonical spec parses"),
+                cross: if vs_cubic {
+                    CrossTraffic::elastic_cubic()
+                } else {
+                    CrossTraffic::None
+                },
+                link_rate_bps,
+                schedule: schedule.clone(),
+                path: PathSpec::single(),
+                seed,
+                duration_s,
+                steady_start_s,
+                ecn: EcnSpec::Off,
+                invariants: Invariants::default(),
+            });
+        }
+    }
     cells
 }
 

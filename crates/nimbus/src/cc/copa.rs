@@ -50,8 +50,6 @@ pub struct Copa {
     /// Bookkeeping for per-RTT updates.
     last_window_update: Time,
     in_slow_start: bool,
-    /// History of mode over time, for experiment introspection.
-    mode_log: Vec<(f64, CopaMode)>,
 }
 
 impl Copa {
@@ -70,18 +68,12 @@ impl Copa {
             last_near_empty: Time::ZERO,
             last_window_update: Time::ZERO,
             in_slow_start: true,
-            mode_log: Vec::new(),
         }
     }
 
     /// The current operating mode.
     pub fn mode(&self) -> CopaMode {
         self.mode
-    }
-
-    /// Log of `(time_seconds, mode)` entries, appended whenever the mode changes.
-    pub fn mode_log(&self) -> &[(f64, CopaMode)] {
-        &self.mode_log
     }
 
     /// "RTT standing": the minimum RTT over the last srtt/2 (approximated
@@ -119,7 +111,6 @@ impl Copa {
             };
         if new_mode != self.mode {
             self.mode = new_mode;
-            self.mode_log.push((now.as_secs_f64(), new_mode));
             if new_mode == CopaMode::Default {
                 self.delta = self.delta_default;
             }
@@ -299,7 +290,6 @@ mod tests {
             cc.on_packet_acked(&ack(now, 110.0, 50.0));
         }
         assert_eq!(cc.mode(), CopaMode::Competitive);
-        assert!(!cc.mode_log().is_empty());
     }
 
     #[test]

@@ -359,7 +359,8 @@ impl MuEstimator for ConfiguredMu {
 
 /// `mu=learned`: the §4.2 windowed max filter over the receive rate, with
 /// the per-report growth cap.  Byte-identical to the pre-API hardwired
-/// estimator (pinned by `tests/estimator_api.rs`).
+/// estimator (pinned by the golden fingerprint table in
+/// `tests/golden/mod.rs`).
 #[derive(Debug, Clone)]
 pub struct MaxFilterMu {
     filter: WindowedMax,

@@ -1,44 +1,16 @@
-//! Path-scenario test tier: the single-bottleneck → path refactor must be
-//! provably behaviour-preserving, and the new multi-hop cells must be
-//! deterministic regardless of how the matrix is scheduled across threads.
+//! The single-bottleneck → path refactor must be provably
+//! behaviour-preserving: every pre-path matrix cell now runs as a 1-hop
+//! `PathSpec` and must reproduce the old engine's recorder output byte for
+//! byte.  The multi-hop cells themselves are gated in `scenario_matrix.rs`.
 
-use nimbus_repro::experiments::testkit::{
-    legacy_single_bottleneck_cells, multihop_cells, parallel_map,
-};
-use nimbus_repro::experiments::{PathSpec, SchemeSpec};
-use std::collections::HashMap;
+mod golden;
 
-/// Recorder fingerprints of the 18 pre-path matrix cells, captured on the
-/// single-bottleneck engine immediately before the path refactor.  Every one
-/// of these cells now runs as a 1-hop `PathSpec` — and must reproduce the
-/// old engine's recorder output byte for byte.
-const PRE_REFACTOR_FINGERPRINTS: &[(&str, u64)] = &[
-    ("cubic@48M-vs-alone-seed3", 0xc9b047b3b3ca9a57),
-    ("cubic@48M-vs-alone-seed11", 0xc9b047b3b3ca9a57),
-    ("vegas@48M-vs-alone-seed3", 0x83faf44e9ea9526c),
-    ("vegas@48M-vs-alone-seed11", 0x83faf44e9ea9526c),
-    ("vegas@96M-vs-cubic-seed5", 0xdbcef018cbc67b16),
-    ("vegas@96M-vs-cubic-seed13", 0xdbcef018cbc67b16),
-    ("nimbus@96M-vs-cbr83-seed4", 0xee3b54fcd837df2b),
-    ("nimbus@96M-vs-cbr83-seed12", 0xee3b54fcd837df2b),
-    ("nimbus@48M-vs-poisson50-seed1", 0x9ccdd8ea3e1d80bf),
-    ("nimbus@48M-vs-poisson50-seed9", 0xc8f85627fb487a98),
-    ("nimbus@48M-vs-cubic-seed2", 0xd65ed71b29821cd1),
-    ("nimbus@48M-vs-cubic-seed10", 0xd65ed71b29821cd1),
-    ("nimbus@48M-vs-alone-seed6", 0xf06482e63a11d31f),
-    ("nimbus@48M-vs-alone-seed14", 0xf06482e63a11d31f),
-    (
-        "nimbus-estmu@48M-sin25p20-vs-alone-seed7",
-        0xe6a36efc6b15f749,
-    ),
-    ("nimbus@48M-sin10p10-vs-alone-seed8", 0xf20c462c4b0f7abb),
-    ("cubic@96M-step50@15-vs-alone-seed9", 0xc49ea25d2c814422),
-    ("nimbus@96M-step50@15-vs-alone-seed9", 0xf5ff8d4108218eb6),
-];
+use golden::golden_problems;
+use nimbus_repro::experiments::testkit::{legacy_single_bottleneck_cells, parallel_map};
+use nimbus_repro::experiments::PathSpec;
 
 #[test]
 fn one_hop_paths_reproduce_pre_refactor_fingerprints() {
-    let pinned: HashMap<&str, u64> = PRE_REFACTOR_FINGERPRINTS.iter().copied().collect();
     let cells = legacy_single_bottleneck_cells();
     assert!(
         cells.iter().all(|c| c.path == PathSpec::single()),
@@ -46,78 +18,13 @@ fn one_hop_paths_reproduce_pre_refactor_fingerprints() {
     );
     assert_eq!(
         cells.len(),
-        pinned.len(),
+        18,
         "the legacy slice of the matrix must still be the original 18 cells"
     );
-    let outcomes = parallel_map(&cells, None, |c| c.run());
-    for o in &outcomes {
-        let expected = pinned
-            .get(o.name.as_str())
-            .unwrap_or_else(|| panic!("cell {} not in the pinned set", o.name));
-        assert_eq!(
-            o.fingerprint, *expected,
-            "cell {} diverged from the pre-path single-bottleneck engine",
-            o.name
-        );
-    }
-}
-
-#[test]
-fn multihop_matrix_is_deterministic_across_thread_counts() {
-    let cells = multihop_cells();
-    assert!(cells.len() >= 4, "need at least 4 multi-hop cells");
+    let problems = golden_problems(&parallel_map(&cells, None, |c| c.run()));
     assert!(
-        cells.iter().any(|c| c.path.label().contains("mv")),
-        "the multi-hop slice must include a moving-bottleneck cell"
-    );
-    let serial = parallel_map(&cells, Some(1), |c| c.run());
-    let parallel = parallel_map(&cells, Some(4), |c| c.run());
-    for (a, b) in serial.iter().zip(parallel.iter()) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(
-            a.fingerprint, b.fingerprint,
-            "cell {} depends on worker-thread scheduling",
-            a.name
-        );
-    }
-    // And the cells actually hold their paper invariants.
-    for o in &serial {
-        assert!(o.violations.is_empty(), "{}: {:?}", o.name, o.violations);
-    }
-}
-
-#[test]
-fn learned_mu_tracks_the_path_minimum_not_the_noisy_first_hop() {
-    // The estmu multi-hop cell: hop 0 at 48 Mbit/s ± 10%, hop 1 constant at
-    // 28.8 Mbit/s.  The learned µ must settle on the 28.8 Mbit/s path
-    // minimum; capturing the first hop instead would read ~48 Mbit/s.
-    let cell = multihop_cells()
-        .into_iter()
-        .find(|c| c.scheme == SchemeSpec::nimbus_estmu())
-        .expect("the multi-hop slice includes an estimated-µ cell");
-    let outcome = cell.run();
-    assert!(
-        outcome.violations.is_empty(),
-        "{}: {:?}",
-        outcome.name,
-        outcome.violations
-    );
-    let steady: Vec<f64> = outcome
-        .metrics
-        .mu_series
-        .iter()
-        .filter(|(t, _)| *t >= 15.0)
-        .map(|(_, mu)| *mu)
-        .collect();
-    assert!(!steady.is_empty(), "no steady-state µ estimates");
-    let mean_mu = steady.iter().sum::<f64>() / steady.len() as f64;
-    assert!(
-        (mean_mu - 28.8e6).abs() / 28.8e6 < 0.1,
-        "learned µ {mean_mu} should track the 28.8 Mbit/s path minimum"
-    );
-    let max_mu = steady.iter().copied().fold(f64::MIN, f64::max);
-    assert!(
-        max_mu < 40e6,
-        "learned µ peaked at {max_mu}: captured the noisy 48 Mbit/s first hop"
+        problems.is_empty(),
+        "diverged from the pre-path single-bottleneck engine:\n{}",
+        problems.join("\n")
     );
 }

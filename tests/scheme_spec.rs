@@ -2,146 +2,73 @@
 //!
 //! 1. **Behaviour preservation**: every legacy `Scheme` enum variant,
 //!    expressed as a `SchemeSpec` *parsed from its legacy alias string*,
-//!    reproduces the recorder fingerprints captured on the pre-redesign
-//!    enum path, byte for byte — alone on the link for all 12 variants and
-//!    against an elastic Cubic competitor for the five Nimbus flavours.
-//! 2. **Round-trips**: `FromStr` ↔ `Display` ↔ serde over randomly composed
+//!    reproduces the recorder fingerprint captured on the pre-redesign enum
+//!    path (its row of the golden table in `golden/mod.rs`), byte for byte:
+//!    alone on the link for all 12 variants and against an elastic Cubic
+//!    competitor for the five Nimbus flavours.
+//! 2. **Aliases**: the legacy enum-variant alias, the canonical string and
+//!    the builder name the same spec.
+//! 3. **Round-trips**: `FromStr` ↔ `Display` ↔ serde over randomly composed
 //!    valid specs (proptest).
-//! 3. **Rejection**: malformed spec strings fail with actionable messages.
+//! 4. **Rejection**: malformed spec strings fail with actionable messages.
 
-use nimbus_repro::experiments::testkit::{parallel_map, Cell, CrossTraffic, Invariants};
-use nimbus_repro::experiments::{EcnSpec, LinkScheduleSpec, PathSpec, SchemeSpec};
+mod golden;
+
+use golden::golden_problems;
+use nimbus_repro::experiments::testkit::{parallel_map, pinned_only_cells, Cell};
+use nimbus_repro::experiments::SchemeSpec;
 use nimbus_repro::nimbus::{DelayScheme, TcpScheme};
 use nimbus_repro::transport::CcKind;
 use proptest::prelude::*;
-use std::collections::HashMap;
 
-/// Per-variant recorder fingerprints captured on the legacy `Scheme` enum
-/// path immediately before the `SchemeSpec` redesign.  The first column is
-/// the legacy alias string the spec is parsed from; the cell name the run
-/// must produce (and the fingerprint it must hash to) follow.
-const LEGACY_FINGERPRINTS_ALONE: &[(&str, &str, u64)] = &[
-    (
-        "NimbusCubicBasicDelay",
-        "nimbus@48M-vs-alone-seed17",
-        0xce3f74cac3359920,
-    ),
-    (
-        "NimbusCubicCopa",
-        "nimbus-copa@48M-vs-alone-seed17",
-        0x2d6e8740ed491d80,
-    ),
-    (
-        "NimbusCubicVegas",
-        "nimbus-vegas@48M-vs-alone-seed17",
-        0x04572f105fb3b2aa,
-    ),
-    (
-        "NimbusDelayOnly",
-        "nimbus-delay@48M-vs-alone-seed17",
-        0x9079dcd6146debec,
-    ),
-    (
-        "NimbusEstimatedMu",
-        "nimbus-estmu@48M-vs-alone-seed17",
-        0x098248daeaa57721,
-    ),
-    ("Cubic", "cubic@48M-vs-alone-seed17", 0x468305ac73be07af),
-    ("NewReno", "newreno@48M-vs-alone-seed17", 0x7658b2ca552df73a),
-    ("Vegas", "vegas@48M-vs-alone-seed17", 0xe403a5a46156d992),
-    ("Copa", "copa@48M-vs-alone-seed17", 0x8732aa98b0df0887),
-    ("Bbr", "bbr@48M-vs-alone-seed17", 0x70282d8c84a358b9),
-    (
-        "Vivace",
-        "pcc-vivace@48M-vs-alone-seed17",
-        0x0570645ce6cf0ee4,
-    ),
-    (
-        "Compound",
-        "compound@48M-vs-alone-seed17",
-        0xc3624d30681e4d88,
-    ),
+/// The legacy alias of each of the first 17 `pinned_only_cells()`, in
+/// order: the 12 enum-variant names alone on the link, then the five Nimbus
+/// label aliases against Cubic, so both alias families are proven
+/// equivalent to the enum path.
+const LEGACY_ALIASES: &[&str] = &[
+    "NimbusCubicBasicDelay",
+    "NimbusCubicCopa",
+    "NimbusCubicVegas",
+    "NimbusDelayOnly",
+    "NimbusEstimatedMu",
+    "Cubic",
+    "NewReno",
+    "Vegas",
+    "Copa",
+    "Bbr",
+    "Vivace",
+    "Compound",
+    "nimbus",
+    "nimbus-copa",
+    "nimbus-vegas",
+    "nimbus-delay",
+    "nimbus-estmu",
 ];
-
-/// The five Nimbus flavours against an elastic Cubic competitor, this time
-/// parsed from the legacy *label* aliases (`nimbus-copa`, …) so both alias
-/// families are proven equivalent to the enum path.
-const LEGACY_FINGERPRINTS_VS_CUBIC: &[(&str, &str, u64)] = &[
-    ("nimbus", "nimbus@96M-vs-cubic-seed18", 0x4fb8913e960cd2c2),
-    (
-        "nimbus-copa",
-        "nimbus-copa@96M-vs-cubic-seed18",
-        0xba48b59353abe99b,
-    ),
-    (
-        "nimbus-vegas",
-        "nimbus-vegas@96M-vs-cubic-seed18",
-        0xc04599233c8de4c0,
-    ),
-    (
-        "nimbus-delay",
-        "nimbus-delay@96M-vs-cubic-seed18",
-        0xce660627c2f715ad,
-    ),
-    (
-        "nimbus-estmu",
-        "nimbus-estmu@96M-vs-cubic-seed18",
-        0xd323b5297c3678d4,
-    ),
-];
-
-fn preservation_cells() -> (Vec<Cell>, HashMap<String, u64>) {
-    let mut cells = Vec::new();
-    let mut pinned = HashMap::new();
-    for &(alias, name, fingerprint) in LEGACY_FINGERPRINTS_ALONE {
-        let scheme: SchemeSpec = alias.parse().expect("legacy alias parses");
-        cells.push(Cell {
-            scheme,
-            cross: CrossTraffic::None,
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 17,
-            duration_s: 20.0,
-            steady_start_s: 6.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants::default(),
-        });
-        pinned.insert(name.to_string(), fingerprint);
-    }
-    for &(alias, name, fingerprint) in LEGACY_FINGERPRINTS_VS_CUBIC {
-        let scheme: SchemeSpec = alias.parse().expect("legacy label parses");
-        cells.push(Cell {
-            scheme,
-            cross: CrossTraffic::elastic_cubic(),
-            link_rate_bps: 96e6,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 18,
-            duration_s: 25.0,
-            steady_start_s: 8.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants::default(),
-        });
-        pinned.insert(name.to_string(), fingerprint);
-    }
-    (cells, pinned)
-}
 
 #[test]
 fn every_legacy_variant_reproduces_its_pre_redesign_fingerprint() {
-    let (cells, pinned) = preservation_cells();
-    let outcomes = parallel_map(&cells, None, |c| c.run());
-    for o in &outcomes {
-        let expected = pinned
-            .get(&o.name)
-            .unwrap_or_else(|| panic!("cell {} not in the pinned set", o.name));
-        assert_eq!(
-            o.fingerprint, *expected,
-            "cell {} diverged from the legacy Scheme enum path",
-            o.name
-        );
-    }
+    let cells: Vec<Cell> = LEGACY_ALIASES
+        .iter()
+        .zip(pinned_only_cells())
+        .map(|(alias, canonical)| {
+            let cell = Cell {
+                scheme: alias.parse().expect("legacy alias parses"),
+                ..canonical.clone()
+            };
+            assert_eq!(
+                cell.name(),
+                canonical.name(),
+                "{alias} names another scheme"
+            );
+            cell
+        })
+        .collect();
+    let problems = golden_problems(&parallel_map(&cells, None, |c| c.run()));
+    assert!(
+        problems.is_empty(),
+        "diverged from the legacy Scheme enum path:\n{}",
+        problems.join("\n")
+    );
 }
 
 #[test]
