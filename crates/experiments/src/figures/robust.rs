@@ -4,7 +4,6 @@ use super::{cbr_cross_flow, elastic_cross_flow, poisson_cross_flow};
 use crate::output::ExperimentResult;
 use crate::runner::{run_and_collect, run_scheme_vs_cross, ScenarioSpec};
 use crate::scheme::SchemeSpec;
-use nimbus_core::Mode;
 use nimbus_netsim::{FlowConfig, FlowEndpoint, Time};
 use nimbus_transport::CcKind;
 
@@ -549,7 +548,6 @@ pub fn robustness_sweep(quick: bool) -> ExperimentResult {
             out.flows[0].mean_throughput_mbps,
         );
     }
-    let _ = Mode::Delay; // referenced for documentation purposes
     result
 }
 

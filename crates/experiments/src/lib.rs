@@ -33,7 +33,7 @@ pub mod testkit;
 pub use output::ExperimentResult;
 pub use runner::{
     CrossFlowSpec, EcnSpec, FleetSpec, HopSpec, LinkScheduleSpec, PathSpec, ScenarioSpec,
-    SingleFlowMetrics, ECN_GRAMMAR,
+    SingleFlowMetrics, ECN_GRAMMAR, FLEET_GRAMMAR,
 };
 pub use scheme::{MuSpec, NimbusSpec, ParseSchemeError, SchemeSpec, SwitchSpec, SCHEME_GRAMMAR};
 pub use sweep::{run_sweep, sweep_matrix, sweep_matrix_with, SweepConfig, SweepReport};

@@ -22,7 +22,7 @@
 
 use nimbus_experiments::{
     run_experiment, EcnSpec, ExperimentResult, SchemeSpec, SweepConfig, ALL_EXPERIMENTS,
-    ECN_GRAMMAR, SCHEME_GRAMMAR,
+    ECN_GRAMMAR, FLEET_GRAMMAR, SCHEME_GRAMMAR,
 };
 use std::path::PathBuf;
 
@@ -214,6 +214,10 @@ fn main() {
             eprintln!("  {line}");
         }
         eprintln!("ecn specs: {ECN_GRAMMAR}");
+        eprintln!("fleet specs:");
+        for line in FLEET_GRAMMAR.lines() {
+            eprintln!("  {line}");
+        }
         let names: Vec<&str> = ALL_EXPERIMENTS.iter().map(|&(name, _)| name).collect();
         eprintln!("experiments: {}", names.join(", "));
         std::process::exit(if args.is_empty() { 2 } else { 0 });

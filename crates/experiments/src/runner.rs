@@ -135,6 +135,20 @@ impl LinkScheduleSpec {
 /// of `off` and `classic`.
 pub const ECN_GRAMMAR: &str = "off | classic | l4s | step(<ms>ms) | step(<s>s)";
 
+/// The whole fleet-spec grammar in one place: `nimbus-experiments --help`
+/// prints it, and [`FleetSpec::from_str`] quotes it in its errors.  Each line
+/// names a slot followed by its `|`-separated alternatives.
+pub const FLEET_GRAMMAR: &str = "\
+<fleet>    fleet(<param>,...)
+<param>    arrivals= | load= | mean= | cc=
+arrivals=  poisson | bursty | bursty(alpha=<x>)
+load=      <frac>
+mean=      <bytes> | <bytes>k | <bytes>M
+cc=        cubic | reno | newreno
+(every parameter is optional; the defaults are arrivals=poisson, load=0.5,
+the default size mixture and cc=cubic; load is the offered fraction of the
+link rate, in (0, 2]; bursty alpha must exceed 1)";
+
 /// The `ecn=` axis of the scenario grammar: whether — and how — a hop marks
 /// ECT packets instead of dropping them.
 ///
@@ -703,7 +717,7 @@ impl FromStr for FleetSpec {
             .and_then(|rest| rest.strip_suffix(')'))
             .ok_or_else(|| {
                 ParseSchemeError(format!(
-                    "`{s}` is not a fleet spec: expected fleet(arrivals=…,load=…)"
+                    "`{s}` is not a fleet spec; the grammar is\n{FLEET_GRAMMAR}"
                 ))
             })?;
         let mut spec = FleetSpec::poisson(0.5);
@@ -729,7 +743,9 @@ impl FromStr for FleetSpec {
                 continue;
             }
             let (key, value) = part.split_once('=').ok_or_else(|| {
-                ParseSchemeError(format!("fleet parameter `{part}` is not key=value"))
+                ParseSchemeError(format!(
+                    "fleet parameter `{part}` is not key=value; the grammar is\n{FLEET_GRAMMAR}"
+                ))
             })?;
             match key.trim() {
                 "arrivals" => {
@@ -755,7 +771,7 @@ impl FromStr for FleetSpec {
                         ArrivalProcess::Bursty { alpha: a }
                     } else {
                         return Err(ParseSchemeError(format!(
-                            "unknown arrivals `{v}` (expected poisson, bursty or bursty(alpha=…))"
+                            "unknown arrivals `{v}`; the grammar is\n{FLEET_GRAMMAR}"
                         )));
                     };
                 }
@@ -777,14 +793,14 @@ impl FromStr for FleetSpec {
                         "reno" | "newreno" => CcKind::NewReno,
                         other => {
                             return Err(ParseSchemeError(format!(
-                                "unknown fleet cc `{other}` (expected cubic or reno)"
+                                "unknown fleet cc `{other}`; the grammar is\n{FLEET_GRAMMAR}"
                             )))
                         }
                     };
                 }
                 other => {
                     return Err(ParseSchemeError(format!(
-                        "unknown fleet parameter `{other}` (expected arrivals, load, mean, cc)"
+                        "unknown fleet parameter `{other}`; the grammar is\n{FLEET_GRAMMAR}"
                     )));
                 }
             }
@@ -1300,6 +1316,39 @@ mod tests {
         let spec: FleetSpec = "fleet(load=0.8,mean=2M)".parse().unwrap();
         assert_eq!(spec.arrivals, ArrivalProcess::Poisson);
         assert_eq!(spec.mean_flow_bytes, Some(2e6));
+    }
+
+    #[test]
+    fn every_alternative_in_the_fleet_grammar_parses() {
+        let mut parsed = 0;
+        for (key, alts) in FLEET_GRAMMAR
+            .lines()
+            .filter_map(|line| line.split_once(' '))
+            .filter(|(slot, _)| slot.ends_with('='))
+        {
+            for alt in alts.split('|').map(str::trim) {
+                let value = alt
+                    .replace("<x>", "1.5")
+                    .replace("<frac>", "0.3")
+                    .replace("<bytes>", "50");
+                let text = format!("fleet({key}{value})");
+                let spec: FleetSpec = text
+                    .parse()
+                    .unwrap_or_else(|e| panic!("`{text}` from the grammar fails: {e}"));
+                assert_eq!(spec.to_string().parse::<FleetSpec>().unwrap(), spec);
+                parsed += 1;
+            }
+        }
+        assert_eq!(parsed, 10, "{FLEET_GRAMMAR}");
+        // Every parameter is optional, with the defaults the grammar names.
+        assert_eq!(
+            "fleet()".parse::<FleetSpec>().unwrap(),
+            FleetSpec::poisson(0.5)
+        );
+        for bad in ["fleet(rate=1)", "wan(load=0.5)", "fleet(cc=bbr)"] {
+            let err = bad.parse::<FleetSpec>().unwrap_err();
+            assert!(err.0.ends_with(FLEET_GRAMMAR), "{err}");
+        }
     }
 
     #[test]

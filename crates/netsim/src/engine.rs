@@ -17,6 +17,9 @@
 //! Flows declare the span of hops they traverse (`entry_hop ..= exit_hop`);
 //! the default span is the whole path.
 //!
+//! Each hop owns its queue by value: drop-tail or PIE, as its [`QueueKind`]
+//! says, with an optional [`EcnMarking`] profile (see [`crate::queue`]).
+//!
 //! Event types:
 //!
 //! * `FlowStart` — activate a flow at its configured start time.
@@ -29,8 +32,8 @@
 //! * `ReceiverArrival` — a data packet reached its receiver; generate an ACK.
 //! * `AckArrival` — an ACK reached the sender; inform the endpoint, poll it.
 //! * `RateChange` — one hop's rate schedule µᵢ(t) reached a transition;
-//!   re-plan the in-flight packet's serialization and re-size delay-specified
-//!   buffers on that hop.
+//!   re-plan the in-flight packet's serialization and re-size that hop's
+//!   delay-sized buffer.
 //! * `Tick` — the global 10 ms measurement tick (CCP reporting cadence).
 //! * `Sample` — the recorder's sampling interval elapsed.
 
@@ -38,21 +41,17 @@ use crate::endpoint::{AckInfo, FlowEndpoint, SendAction};
 use crate::eventq::CalendarQueue;
 use crate::loss::{LossModel, LossProcess, Policer};
 use crate::packet::{AckPacket, EcnCodepoint, FlowId, Packet};
-use crate::queue::{
-    delay_capacity_bytes, CoDelQueue, DropTailQueue, EcnMarking, EnqueueResult, PieQueue,
-    QueueDiscipline, RedQueue,
-};
+use crate::queue::{EcnMarking, EnqueueResult, Queue};
 use crate::recorder::{Recorder, RecorderConfig};
 use crate::schedule::RateSchedule;
 use crate::slab::Slab;
 use nimbus_core_types::Time;
 use std::collections::BTreeMap;
 
-/// Which queue discipline the bottleneck uses.
+/// Which queue discipline a hop uses.  Both buffers are sized in seconds of
+/// line rate and re-sized whenever the hop's rate changes.
 #[derive(Debug, Clone)]
 pub enum QueueKind {
-    /// Drop-tail with an explicit byte capacity.
-    DropTailBytes(u64),
     /// Drop-tail sized to this many seconds of buffering at the link rate
     /// ("100 ms of buffering" in the paper's experiment descriptions).
     DropTailDelay(f64),
@@ -60,16 +59,6 @@ pub enum QueueKind {
     Pie {
         /// Target queueing delay in seconds.
         target_delay_s: f64,
-        /// Physical buffer size in seconds of line rate.
-        buffer_s: f64,
-    },
-    /// RED with a physical buffer of this many seconds of line rate.
-    Red {
-        /// Physical buffer size in seconds of line rate.
-        buffer_s: f64,
-    },
-    /// CoDel with standard parameters and a physical buffer of this many seconds.
-    CoDel {
         /// Physical buffer size in seconds of line rate.
         buffer_s: f64,
     },
@@ -394,7 +383,7 @@ struct InFlight {
 
 /// Runtime state of one path hop.
 struct LinkState {
-    queue: Box<dyn QueueDiscipline>,
+    queue: Queue,
     busy: bool,
     /// Packet currently being serialized on this hop's link.
     in_flight: Option<InFlight>,
@@ -470,35 +459,8 @@ impl Network {
                 let rate = link.schedule.initial_rate_bps();
                 assert!(rate > 0.0, "hop {hop} rate must be positive");
                 let seed = hop_seed(cfg.seed, hop);
-                let queue: Box<dyn QueueDiscipline> = match link.queue {
-                    QueueKind::DropTailBytes(b) => Box::new(DropTailQueue::new(b)),
-                    QueueKind::DropTailDelay(s) => {
-                        Box::new(DropTailQueue::with_delay_capacity(rate, s))
-                    }
-                    QueueKind::Pie {
-                        target_delay_s,
-                        buffer_s,
-                    } => Box::new(PieQueue::new(
-                        delay_capacity_bytes(rate, buffer_s),
-                        rate,
-                        Time::from_secs_f64(target_delay_s),
-                        seed,
-                    )),
-                    QueueKind::Red { buffer_s } => {
-                        Box::new(RedQueue::new(delay_capacity_bytes(rate, buffer_s), seed))
-                    }
-                    QueueKind::CoDel { buffer_s } => {
-                        Box::new(CoDelQueue::new(delay_capacity_bytes(rate, buffer_s)))
-                    }
-                };
-                let mut queue = queue;
-                queue.set_ecn_marking(link.ecn);
-                // Step profiles measure depth in drain time; give every
-                // discipline the initial rate (PIE already has it, the
-                // others store it only for marking).
-                queue.set_drain_rate_bps(rate);
                 LinkState {
-                    queue,
+                    queue: Queue::new(&link.queue, rate, link.ecn, seed),
                     busy: false,
                     in_flight: None,
                     current_rate_bps: rate,
@@ -976,9 +938,8 @@ impl Network {
 
     /// Apply a scheduled rate transition on `hop`.  The in-flight packet (if
     /// any) has its byte progress advanced under the outgoing rate and its
-    /// completion rescheduled under the incoming one; delay-sized queue
-    /// capacities are recomputed so "x seconds of buffering" keeps meaning
-    /// x seconds.
+    /// completion rescheduled under the incoming one; the hop's buffer is
+    /// re-sized so "x seconds of buffering" keeps meaning x seconds.
     fn on_rate_change(&mut self, hop: usize) {
         let new_rate = self.cfg.path[hop].schedule.rate_at(self.now);
         let link = &mut self.links[hop];
@@ -995,20 +956,8 @@ impl Network {
             let at = self.now + tx;
             self.schedule(at, EventKind::LinkDone { hop, gen });
         }
-        // Keep delay-specified buffers coherent with the new rate.
-        let buffer_s = match self.cfg.path[hop].queue {
-            QueueKind::DropTailBytes(_) => None,
-            QueueKind::DropTailDelay(s) => Some(s),
-            QueueKind::Pie { buffer_s, .. } => Some(buffer_s),
-            QueueKind::Red { buffer_s } => Some(buffer_s),
-            QueueKind::CoDel { buffer_s } => Some(buffer_s),
-        };
-        let link = &mut self.links[hop];
-        if let Some(s) = buffer_s {
-            link.queue
-                .set_capacity_bytes(delay_capacity_bytes(new_rate, s));
-        }
-        link.queue.set_drain_rate_bps(new_rate);
+        // Keep the delay-sized buffer coherent with the new rate.
+        self.links[hop].queue.set_rate(new_rate);
         if let Some(at) = self.cfg.path[hop].schedule.next_transition_after(self.now) {
             self.schedule(at, EventKind::RateChange { hop });
         }

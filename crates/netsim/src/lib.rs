@@ -49,7 +49,7 @@ pub use eventq::CalendarQueue;
 pub use loss::{LossModel, Policer};
 pub use nimbus_core_types::Time;
 pub use packet::{EcnCodepoint, FlowId, Packet};
-pub use queue::{CoDelQueue, DropTailQueue, EcnMarking, PieQueue, QueueDiscipline, RedQueue};
+pub use queue::EcnMarking;
 pub use recorder::{
     FctBucket, FctSummary, FlowStats, Recorder, RecorderConfig, TimeSeries, ELEPHANT_MIN_BYTES,
     MICE_MAX_BYTES,

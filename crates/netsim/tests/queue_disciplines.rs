@@ -1,11 +1,11 @@
 //! Engine-level queue-discipline behaviour: a paced flow offering 2× the
-//! bottleneck rate exercises every discipline end to end.  Drop-tail must cap
-//! the queueing delay at the buffer size, and the AQMs (PIE, RED, CoDel)
-//! must hold it *well below* the physical buffer while still shipping
-//! (roughly) line rate.
+//! bottleneck rate exercises both disciplines end to end.  Drop-tail must cap
+//! the queueing delay at the buffer size, and PIE must hold it *well below*
+//! the physical buffer while still shipping (roughly) line rate.
 
 use nimbus_netsim::{
-    AckInfo, FlowConfig, FlowEndpoint, Network, QueueKind, SendAction, SimConfig, Time,
+    AckInfo, EcnMarking, FlowConfig, FlowEndpoint, Network, QueueKind, RateSchedule, SendAction,
+    SimConfig, Time,
 };
 
 /// Minimal paced constant-bit-rate endpoint (netsim cannot depend on
@@ -97,40 +97,98 @@ fn pie_holds_the_queue_near_its_target_under_overload() {
 }
 
 #[test]
-fn red_keeps_the_average_queue_below_the_buffer() {
-    let (qd, drops, tput) = overload_through(QueueKind::Red { buffer_s: 0.1 });
-    assert!(
-        qd < 90.0,
-        "RED queueing delay {qd} ms should stay below drop-tail"
-    );
-    assert!(drops > 100, "RED must drop under sustained overload");
-    assert!(tput > 20.0, "RED throughput {tput}");
-}
-
-#[test]
-fn codel_bounds_sojourn_time_under_overload() {
-    let (qd, drops, tput) = overload_through(QueueKind::CoDel { buffer_s: 0.1 });
-    // CoDel's drop rate ramps only as sqrt(count), so an unresponsive 2×
-    // overload is its weakest case — require it to beat drop-tail's ~95 ms,
-    // not to reach its 5 ms target.
-    assert!(
-        qd < 90.0,
-        "CoDel queueing delay {qd} ms should be controlled"
-    );
-    assert!(drops > 100, "CoDel must drop under sustained overload");
-    assert!(tput > 20.0, "CoDel throughput {tput}");
-}
-
-#[test]
 fn aqms_and_droptail_rank_as_expected() {
     let (dt, _, _) = overload_through(QueueKind::DropTailDelay(0.1));
     let (pie, _, _) = overload_through(QueueKind::Pie {
         target_delay_s: 0.02,
         buffer_s: 0.1,
     });
-    let (codel, _, _) = overload_through(QueueKind::CoDel { buffer_s: 0.1 });
     assert!(
-        pie < dt && codel < dt,
-        "AQMs must beat drop-tail on delay: pie={pie} codel={codel} droptail={dt}"
+        pie < dt,
+        "PIE must beat drop-tail on delay: pie={pie} droptail={dt}"
     );
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// FNV-1a of the recorder snapshot after one ECT and one non-ECT paced flow,
+/// each at the initial line rate (2x overload in total), cross `queue` with
+/// marking profile `ecn`; the link rate halves at t = 4 s, so the run also
+/// covers the rate-change path (buffer re-sizing, new drain rate).
+fn queue_fingerprint(queue: QueueKind, ecn: EcnMarking) -> u64 {
+    let rate = 24e6;
+    let mut cfg = SimConfig::new(rate, 0.1, 8.0);
+    cfg.seed = 5;
+    let link = cfg.link_mut();
+    link.queue = queue;
+    link.ecn = ecn;
+    link.schedule = RateSchedule::step(rate, Time::from_millis(4000), rate / 2.0);
+    let mut net = Network::new(cfg);
+    net.add_flow(
+        FlowConfig::primary("ect", Time::from_millis(20)).with_ecn(true),
+        Box::new(PacedCbr::new(rate)),
+    );
+    net.add_flow(
+        FlowConfig::primary("not-ect", Time::from_millis(30)),
+        Box::new(PacedCbr::new(rate)),
+    );
+    net.run();
+    let (rec, _) = net.finish();
+    fnv1a(
+        serde_json::to_string(&rec.snapshot())
+            .expect("snapshot serializes")
+            .as_bytes(),
+    )
+}
+
+#[test]
+fn droptail_and_pie_reproduce_their_pinned_fingerprints() {
+    let queues = [
+        ("droptail", QueueKind::DropTailDelay(0.1)),
+        (
+            "pie",
+            QueueKind::Pie {
+                target_delay_s: 0.015,
+                buffer_s: 0.1,
+            },
+        ),
+    ];
+    let profiles = [
+        ("none", EcnMarking::None),
+        ("classic", EcnMarking::Classic),
+        ("step", EcnMarking::Step { threshold_s: 0.001 }),
+    ];
+    // A mismatch means the queue's behaviour changed.
+    let pinned: [(&str, u64); 6] = [
+        ("droptail/none", 0x1156a39ea2567451),
+        ("droptail/classic", 0x196ff8b455bce3d6),
+        ("droptail/step", 0x9d5812d38a8b9a52),
+        ("pie/none", 0x8df5a46daf9843ee),
+        ("pie/classic", 0xa56946438e337b59),
+        ("pie/step", 0xe913cadb4f0250fc),
+    ];
+    let mut actual = Vec::new();
+    for (qname, queue) in &queues {
+        for (ename, ecn) in profiles {
+            actual.push((
+                format!("{qname}/{ename}"),
+                queue_fingerprint(queue.clone(), ecn),
+            ));
+        }
+    }
+    let table: String = actual
+        .iter()
+        .map(|(name, fp)| format!("        (\"{name}\", {fp:#018x}),\n"))
+        .collect();
+    for ((want_name, want), (name, got)) in pinned.iter().zip(&actual) {
+        assert_eq!(*want_name, name, "pin table order");
+        assert_eq!(*want, *got, "{name} moved; actual table:\n{table}");
+    }
 }

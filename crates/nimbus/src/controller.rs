@@ -241,8 +241,6 @@ pub struct NimbusController {
     /// hysteresis (§4.1): competitive → delay only after the detector has
     /// seen nothing elastic for a full FFT window.
     last_elastic_s: f64,
-    /// Log of detector verdicts exposed for experiments (`detector` also keeps them).
-    last_verdict: Option<DetectorVerdict>,
     /// EWMA-smoothed rate used while this flow is a watcher.
     watcher_rate_bps: Option<f64>,
     /// Sliding window of `(t_s, marked, acked)` packet counts from recent
@@ -303,7 +301,6 @@ impl NimbusController {
             now_s: 0.0,
             mode_log: Vec::new(),
             last_elastic_s: f64::NEG_INFINITY,
-            last_verdict: None,
             watcher_rate_bps: None,
             mark_window: VecDeque::new(),
             mark_streak: 0,
@@ -359,7 +356,7 @@ impl NimbusController {
 
     /// The most recent detector verdict.
     pub fn last_verdict(&self) -> Option<DetectorVerdict> {
-        self.last_verdict
+        self.detector.last_verdict()
     }
 
     /// Fraction of time spent in delay mode between `t0_s` and `t1_s`
@@ -675,7 +672,6 @@ impl CongestionControl for NimbusController {
         }
         self.detector.set_eta_scale(bar_scale);
         if let Some(verdict) = self.detector.evaluate(report.now_s, &z_series) {
-            self.last_verdict = Some(verdict);
             if let Some(p) = &mut self.publisher {
                 p.on_verdict(report.now_s, &verdict);
             }
@@ -715,8 +711,6 @@ impl CongestionControl for NimbusController {
         // 6. Keep the pulse generator aligned with the current mode and µ.
         self.pulse.freq_hz = self.current_pulse_freq();
         self.pulse.amplitude = self.cfg.pulse_amplitude_fraction * mu;
-        // The detector always listens at the competitive-mode frequency?  No:
-        // it listens at whatever frequency we are currently pulsing at.
         self.detector.set_pulse_freq(self.current_pulse_freq());
     }
 
